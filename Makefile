@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke verify fault-verify par-verify perf-verify obs-bench telemetry-bench perf-step bench-gates check bench clean
+.PHONY: all build test smoke sample-identity verify fault-verify par-verify perf-verify obs-bench telemetry-bench perf-step bench-gates check bench clean
 
 all: build
 
@@ -17,6 +17,28 @@ test:
 smoke:
 	$(DUNE) exec bin/conrat_cli.exe -- experiment --quick E1 --jobs 2 --json
 	@test -s BENCH_E1.json && echo "smoke: BENCH_E1.json written"
+
+# Sampling determinism: every quick experiment rerun on a 2-domain pool
+# must reproduce the committed BENCH_E*.json byte for byte once the
+# wall-clock and jobs fields are masked.  Any change to an adversary's
+# choice stream, a random stream or the engine's aggregation shows up
+# here as a diff.
+sample-identity:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	exe=$$(pwd)/_build/default/bin/conrat_cli.exe && \
+	$(DUNE) build bin/conrat_cli.exe && \
+	(cd "$$tmp" && "$$exe" experiment --quick all --jobs 2 --json >/dev/null) && \
+	status=0 && \
+	for f in BENCH_E*.json; do \
+	  sed -E 's/"jobs": [0-9]+/"jobs": _/; s/"elapsed_seconds": [0-9.e+-]+/"elapsed_seconds": _/' \
+	    "$$f" > "$$tmp/$$f.committed" && \
+	  sed -E 's/"jobs": [0-9]+/"jobs": _/; s/"elapsed_seconds": [0-9.e+-]+/"elapsed_seconds": _/' \
+	    "$$tmp/$$f" > "$$tmp/$$f.fresh" && \
+	  if diff -q "$$tmp/$$f.committed" "$$tmp/$$f.fresh" >/dev/null; \
+	  then echo "sample-identity: $$f identical"; \
+	  else echo "sample-identity: $$f DIFFERS"; \
+	    diff "$$tmp/$$f.committed" "$$tmp/$$f.fresh" | head -5; status=1; fi; \
+	done && exit $$status
 
 # Exhaustive safety verification of every registered checker config
 # under the POR engine, within a wall-clock budget (seconds).  The
@@ -167,7 +189,7 @@ perf-step:
 # step-rate floor (BENCH_STEP.json).
 bench-gates: perf-verify obs-bench telemetry-bench perf-step
 
-check: build test smoke verify
+check: build test smoke sample-identity verify
 
 bench:
 	$(DUNE) exec bench/main.exe -- quick

@@ -5,7 +5,7 @@ let crash_at ~step ~pid =
     plan_fresh =
       (fun ~n:_ _rng ->
         fun (v : View.full) ~chosen ->
-          if v.step = step then Fault.Crash pid else Fault.Step chosen) }
+          if View.step v = step then Fault.Crash pid else Fault.Step chosen) }
 
 let crashing ?(rate = 0.05) ~f () =
   { Fault.plan_name = Printf.sprintf "crashing(f=%d,rate=%g)" f rate;
@@ -15,7 +15,7 @@ let crashing ?(rate = 0.05) ~f () =
         fun (v : View.full) ~chosen ->
           if !left > 0 && Rng.float rng < rate then begin
             decr left;
-            Fault.Crash v.enabled.(Rng.int rng (Array.length v.enabled))
+            Fault.Crash (View.nth v (Rng.int rng (View.live v)))
           end
           else Fault.Step chosen) }
 
@@ -24,7 +24,7 @@ let recover_at ~step ~pid =
     plan_fresh =
       (fun ~n:_ _rng ->
         fun (v : View.full) ~chosen ->
-          if v.step = step then Fault.Recover pid else Fault.Step chosen) }
+          if View.step v = step then Fault.Recover pid else Fault.Step chosen) }
 
 let recovering ?(rate = 0.05) ~r () =
   { Fault.plan_name = Printf.sprintf "recovering(r=%d,rate=%g)" r rate;
@@ -33,13 +33,13 @@ let recovering ?(rate = 0.05) ~r () =
         let left = ref r in
         fun (v : View.full) ~chosen ->
           (* The view does not expose the crashed set; pick any pid that
-             is neither enabled nor pending (crashed or finished) — a
+             is not live (crashed or finished) — a
              finished pick degrades to a plain step at the machine and
              is counted in [plan_ignored]. *)
           if !left > 0 && Rng.float rng < rate then begin
             let down = ref [] in
             for p = n - 1 downto 0 do
-              if v.pending.(p) = None then down := p :: !down
+              if not (View.is_live v p) then down := p :: !down
             done;
             match !down with
             | [] -> Fault.Step chosen
@@ -55,7 +55,7 @@ let byzantine_reads ?(rate = 0.5) () =
     plan_fresh =
       (fun ~n:_ rng ->
         fun (v : View.full) ~chosen ->
-          match v.pending.(chosen) with
+          match View.pending v chosen with
           | Some any when Op.kind any = Op.Read_op && Rng.float rng < rate ->
             Fault.Stale chosen
           | Some _ | None -> Fault.Step chosen) }

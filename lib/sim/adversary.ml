@@ -23,96 +23,120 @@ let location_oblivious name fresh =
       let f = fresh ~n rng in
       fun view -> f (View.to_location_oblivious view)) }
 
-(* Pick the first enabled pid at or cyclically after [start]. *)
-let next_enabled_from enabled n start =
-  let is_enabled = Array.make n false in
-  Array.iter (fun p -> is_enabled.(p) <- true) enabled;
-  let rec go i remaining =
-    if remaining = 0 then enabled.(0)
-    else if is_enabled.(i mod n) then i mod n
-    else go (i + 1) (remaining - 1)
-  in
-  go start n
-
 let round_robin =
   oblivious "round_robin" (fun ~n:_ _rng ->
     let cursor = ref 0 in
-    fun (v : View.oblivious) ->
-      let pid = next_enabled_from v.ob_enabled v.ob_n !cursor in
+    fun v ->
+      let pid = View.next_from v !cursor in
       cursor := pid + 1;
       pid)
 
 let random_uniform =
   oblivious "random_uniform" (fun ~n:_ rng ->
-    fun (v : View.oblivious) ->
-      v.ob_enabled.(Rng.int rng (Array.length v.ob_enabled)))
+    fun v -> View.nth v (Rng.int rng (View.live v)))
 
 let fixed_permutation ?perm () =
   oblivious "fixed_permutation" (fun ~n rng ->
     let perm = match perm with Some p -> Array.copy p | None -> Rng.permutation rng n in
     let cursor = ref 0 in
-    fun (v : View.oblivious) ->
-      let is_enabled = Array.make v.ob_n false in
-      Array.iter (fun p -> is_enabled.(p) <- true) v.ob_enabled;
-      let rec go remaining =
-        if remaining = 0 then v.ob_enabled.(0)
-        else begin
-          let pid = perm.(!cursor mod n) in
-          incr cursor;
-          if is_enabled.(pid) then pid else go (remaining - 1)
-        end
-      in
-      go (2 * n))
+    fun v ->
+      (* Walk the permutation from the cursor to the first live pid:
+         two laps find one when [perm] covers every pid; a caller's
+         [perm] that does not falls back to the lowest live pid. *)
+      let pid = ref (-1) and remaining = ref (2 * n) in
+      while !pid < 0 && !remaining > 0 do
+        let p = perm.(!cursor mod n) in
+        incr cursor;
+        decr remaining;
+        if View.is_live v p then pid := p
+      done;
+      if !pid >= 0 then !pid else View.nth v 0)
+
+(* The fallback of the stateful adversaries: cycle through the live
+   pids in ascending order. *)
+let cycle cursor v =
+  let pid = View.nth v (!cursor mod View.live v) in
+  incr cursor;
+  pid
 
 let write_stalker =
   value_oblivious "write_stalker" (fun ~n:_ _rng ->
     let cursor = ref 0 in
-    fun (v : View.value_oblivious) ->
-      let readers =
-        Array.to_list v.vo_enabled
-        |> List.filter (fun pid ->
-            match v.vo_pending.(pid) with
-            | Some { View.m_kind = Op.Read_op | Op.Collect_op; _ } -> true
-            | Some _ | None -> false)
-      in
-      let pool = if readers <> [] then Array.of_list readers else v.vo_enabled in
-      let pid = pool.(!cursor mod Array.length pool) in
-      incr cursor;
-      pid)
+    fun v ->
+      let readers = View.readers v in
+      if readers = 0 then cycle cursor v
+      else begin
+        let pid = View.nth_reader v (!cursor mod readers) in
+        incr cursor;
+        pid
+      end)
 
-(* Values currently stored anywhere in memory. *)
-let stored_values contents =
-  Array.to_list contents |> List.filter_map Fun.id
+(* The values currently stored anywhere in memory, gathered once per
+   step into a scratch buffer.  Each [fresh] makes its own: executions
+   run on several domains at once, so a shared buffer would race. *)
+type stored = { mutable vals : int array; mutable len : int }
+
+let stored () = { vals = Array.make 16 0; len = 0 }
+
+let gather s v =
+  let regs = View.registers v in
+  if Array.length s.vals < regs then s.vals <- Array.make (2 * regs) 0;
+  s.len <- 0;
+  for l = 0 to regs - 1 do
+    match View.contents v l with
+    | Some x ->
+      s.vals.(s.len) <- x;
+      s.len <- s.len + 1
+    | None -> ()
+  done
+
+let is_stored s x =
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < s.len do
+    found := s.vals.(!i) = x;
+    incr i
+  done;
+  !found
+
+(* The live pid with the highest-probability pending write of a value
+   not currently in memory (the lowest such pid on ties), or -1.  One
+   pass, no allocation. *)
+let best_overwriter s v =
+  let best = ref (-1) and best_p = ref 0.0 in
+  if s.len > 0 then
+    for pid = 0 to View.n v - 1 do
+      if View.is_live v pid
+         && (match View.kind v pid with
+             | Op.Write_op | Op.Prob_write_op -> true
+             | Op.Read_op | Op.Collect_op -> false)
+         && not (is_stored s (View.value v pid))
+      then begin
+        let p = View.prob v pid in
+        if !best < 0 || p > !best_p then begin
+          best := pid;
+          best_p := p
+        end
+      end
+    done;
+  !best
 
 let overwrite_attacker =
   location_oblivious "overwrite_attacker" (fun ~n:_ _rng ->
-    let cursor = ref 0 in
-    fun (v : View.location_oblivious) ->
-      let stored = stored_values v.lo_contents in
-      let conflicting pid =
-        match v.lo_pending.(pid) with
-        | Some { View.m_kind = Op.Prob_write_op | Op.Write_op; m_value = Some value; m_prob; _ } ->
-          if stored <> [] && not (List.mem value stored)
-          then Some (Option.value m_prob ~default:1.0)
-          else None
-        | Some _ | None -> None
-      in
-      let best = ref None in
-      Array.iter
-        (fun pid ->
-          match conflicting pid with
-          | Some p ->
-            (match !best with
-             | Some (_, p') when p' >= p -> ()
-             | _ -> best := Some (pid, p))
-          | None -> ())
-        v.lo_enabled;
-      match !best with
-      | Some (pid, _) -> pid
-      | None ->
-        let pid = v.lo_enabled.(!cursor mod Array.length v.lo_enabled) in
-        incr cursor;
-        pid)
+    let cursor = ref 0 and s = stored () in
+    fun v ->
+      gather s v;
+      let pid = best_overwriter s v in
+      if pid >= 0 then pid else cycle cursor v)
+
+(* The first live pid pending a plain read, or -1. *)
+let first_reader v =
+  let pid = ref (-1) and k = ref 0 in
+  while !pid < 0 && !k < View.readers v do
+    let p = View.nth_reader v !k in
+    if View.kind v p = Op.Read_op then pid := p;
+    incr k
+  done;
+  !pid
 
 let adaptive_overwriter =
   adaptive "adaptive_overwriter" (fun ~n:_ _rng ->
@@ -123,49 +147,35 @@ let adaptive_overwriter =
        values.  An adaptive adversary may do this because it sees both
        register contents and pending-write values/locations; Theorem 7
        makes no promise against it. *)
-    let cursor = ref 0 in
+    let cursor = ref 0 and s = stored () in
     let let_reader_go = ref true in
-    fun (v : View.full) ->
-      let contents = Memory.snapshot v.memory in
-      let stored = stored_values contents in
-      let best_writer =
-        let best = ref None in
-        Array.iter
-          (fun pid ->
-            match v.pending.(pid) with
-            | Some any when Op.is_write any ->
-              (match Op.value any with
-               | Some value when stored <> [] && not (List.mem value stored) ->
-                 let p = Option.value (Op.prob any) ~default:1.0 in
-                 (match !best with
-                  | Some (_, p') when p' >= p -> ()
-                  | _ -> best := Some (pid, p))
-               | Some _ | None -> ())
-            | Some _ | None -> ())
-          v.enabled;
-        Option.map fst !best
+    fun v ->
+      gather s v;
+      let choice =
+        if s.len = 0 then -1
+        else begin
+          let pid =
+            if !let_reader_go then
+              let r = first_reader v in
+              if r >= 0 then r else best_overwriter s v
+            else
+              let w = best_overwriter s v in
+              if w >= 0 then w else first_reader v
+          in
+          let_reader_go := not !let_reader_go;
+          pid
+        end
       in
-      let any_reader =
-        Array.to_list v.enabled
-        |> List.find_opt (fun pid ->
-            match v.pending.(pid) with
-            | Some any -> Op.kind any = Op.Read_op
-            | None -> false)
-      in
-      let fallback () =
-        let pid = v.enabled.(!cursor mod Array.length v.enabled) in
-        incr cursor;
-        pid
-      in
-      if stored = [] then fallback ()
-      else begin
-        let choice =
-          if !let_reader_go then match any_reader with Some r -> Some r | None -> best_writer
-          else match best_writer with Some w -> Some w | None -> any_reader
-        in
-        let_reader_go := not !let_reader_go;
-        match choice with Some pid -> pid | None -> fallback ()
-      end)
+      if choice >= 0 then choice else cycle cursor v)
+
+(* The best live pid under the strict order [better], the lowest on
+   ties: one pass. *)
+let best_live v better =
+  let best = ref (View.nth v 0) in
+  for pid = !best + 1 to View.n v - 1 do
+    if View.is_live v pid && better pid !best then best := pid
+  done;
+  !best
 
 let noisy ?(jitter = 0.3) () =
   oblivious "noisy" (fun ~n rng ->
@@ -173,10 +183,9 @@ let noisy ?(jitter = 0.3) () =
        step adds 1 plus accumulated random error, as in the noisy
        scheduling model of Aspnes [5]. *)
     let vtime = Array.init n (fun _ -> Rng.float rng) in
-    fun (v : View.oblivious) ->
-      let best = ref v.ob_enabled.(0) in
-      Array.iter (fun pid -> if vtime.(pid) < vtime.(!best) then best := pid) v.ob_enabled;
-      let pid = !best in
+    let earlier p q = vtime.(p) < vtime.(q) in
+    fun v ->
+      let pid = best_live v earlier in
       vtime.(pid) <- vtime.(pid) +. 1.0 +. (Rng.exponential rng (1.0 /. jitter) -. jitter);
       pid)
 
@@ -189,10 +198,8 @@ let priority ?priorities () =
         ignore (Rng.bits64 rng);
         Array.init n Fun.id
     in
-    fun (v : View.oblivious) ->
-      let best = ref v.ob_enabled.(0) in
-      Array.iter (fun pid -> if prio.(pid) > prio.(!best) then best := pid) v.ob_enabled;
-      !best)
+    let higher p q = prio.(p) > prio.(q) in
+    fun v -> best_live v higher)
 
 let all_weak () =
   [ round_robin; random_uniform; fixed_permutation (); write_stalker; overwrite_attacker ]

@@ -8,9 +8,13 @@
     information restriction a type-level guarantee.
 
     If an adversary returns a pid that is not enabled, the scheduler
-    falls back to the next enabled pid at or after it (cyclically) —
-    this is how fixed-order oblivious schedules "skip" halted
-    processes. *)
+    falls back to the next enabled pid at or after it (cyclically, see
+    {!View.next_from}) — this is how fixed-order oblivious schedules
+    "skip" halted processes.
+
+    Every adversary below reads its view through O(1) or O(log n)
+    accessors and allocates nothing per step; the overwriters, [noisy]
+    and [priority] also make one O(n) pass over the pids per step. *)
 
 type t = {
   name : string;
@@ -78,12 +82,6 @@ val all_weak : unit -> t list
 (** The adversaries consensus must survive in the probabilistic-write
     model: [round_robin], [random_uniform], [fixed_permutation],
     [write_stalker], [overwrite_attacker]. *)
-
-val next_enabled_from : int array -> int -> int -> int
-(** [next_enabled_from enabled n start] is the first enabled pid at or
-    cyclically after [start] — the fallback rule the scheduler applies
-    when an adversary names a halted process.  Exposed for the
-    scheduler and for tests. *)
 
 val by_name : string -> t
 (** Look up an adversary by its [name]; raises [Not_found] for unknown

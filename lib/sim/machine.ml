@@ -41,17 +41,25 @@ type 'r t = {
   mutable ever_crashed : bool;
   mutable enabled : int array;
   (* All [2^n] possible enabled sets, interned at creation and indexed
-     by the liveness bitmask — [enabled] always aliases one of them (or
-     a fresh array when [n] is too large to tabulate).  Interning keeps
-     the they-are-shared-immutably invariant that lets snapshots alias
-     [enabled] without copying, while making a process's decide/crash
-     transition allocation-free. *)
+     by the liveness bitmask — [enabled] always aliases one of them.
+     Interning keeps the they-are-shared-immutably invariant that lets
+     snapshots alias [enabled] without copying, while making a
+     process's decide/crash transition allocation-free.  [None] when [n]
+     is too large to tabulate: [enabled] is then rebuilt from [pending]
+     on demand, and [enabled_stale] says it lags. *)
   enabled_tab : int array array option;
   mutable steps : int;
   mutable total_steps : int;
   metrics : Metrics.t option;
   trace : Trace.t option;
   sink : Sink.t option;
+  mutable enabled_stale : bool;
+  (* The live pids, kept incrementally in ascending order for the
+     scheduler's adversary views (see {!View}).  Maintained while
+     [tracked], that is from the first [live] call on, so the explorers
+     never pay for it; an untracked machine holds [untracked]. *)
+  mutable live : Liveset.t;
+  mutable tracked : bool;
 }
 
 let enabled_of_mask n mask =
@@ -70,12 +78,24 @@ let enabled_of_mask n mask =
    config comes close. *)
 let max_tabulated_n = 10
 
-let rebuild_enabled_alloc pending n =
-  let pids = ref [] in
-  for pid = n - 1 downto 0 do
-    if Option.is_some pending.(pid) then pids := pid :: !pids
+let enabled_of_pending pending n =
+  let k = ref 0 in
+  for pid = 0 to n - 1 do
+    if Option.is_some pending.(pid) then incr k
   done;
-  Array.of_list !pids
+  let a = Array.make !k 0 in
+  let j = ref 0 in
+  for pid = 0 to n - 1 do
+    if Option.is_some pending.(pid) then begin a.(!j) <- pid; incr j end
+  done;
+  a
+
+let live_mask pending n =
+  let mask = ref 0 in
+  for pid = 0 to n - 1 do
+    if Option.is_some pending.(pid) then mask := !mask lor (1 lsl pid)
+  done;
+  !mask
 
 (* Peel stage labels off the front of a program, recording the
    innermost one as [pid]'s current stage.  A root-level [Recoverable]
@@ -97,6 +117,12 @@ let rec peel_root stage p =
   match p with
   | Program.Label (s, p) -> peel_root (Some s) p
   | p -> (stage, p)
+
+(* Shared by every untracked machine and never updated: only a tracked
+   machine touches its sets. *)
+let untracked = Liveset.create 0
+
+let fill_live t = Liveset.fill t.live (fun pid -> Option.is_some t.pending.(pid))
 
 let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     ~memory body =
@@ -154,29 +180,44 @@ let create ?(engine = `Vm) ?(cheap_collect = false) ?metrics ?trace ?sink ~n
     crash_count = 0;
     recover_count = 0;
     ever_crashed = false;
-    enabled = rebuild_enabled_alloc pending n;
+    enabled = (match enabled_tab with Some tab -> tab.(live_mask pending n) | None -> [||]);
     enabled_tab;
     steps = 0;
     total_steps = 0;
     metrics;
     trace;
-    sink }
+    sink;
+    enabled_stale = Option.is_none enabled_tab;
+    live = untracked;
+    tracked = false }
 
-let rebuild_enabled t =
-  match t.enabled_tab with
-  | Some tab ->
-    let mask = ref 0 in
-    for pid = 0 to t.n - 1 do
-      if Option.is_some t.pending.(pid) then mask := !mask lor (1 lsl pid)
-    done;
-    t.enabled <- tab.(!mask)
-  | None -> t.enabled <- rebuild_enabled_alloc t.pending t.n
+(* The enabled set changed: [pid] finished, crashed or recovered. *)
+let enabled_changed t pid =
+  (match t.enabled_tab with
+   | Some tab -> t.enabled <- tab.(live_mask t.pending t.n)
+   | None -> t.enabled_stale <- true);
+  if t.tracked then
+    if Option.is_some t.pending.(pid) then Liveset.add t.live pid
+    else Liveset.remove t.live pid
+
+let live t =
+  if not t.tracked then begin
+    t.tracked <- true;
+    t.live <- Liveset.create t.n;
+    fill_live t
+  end;
+  t.live
 
 let n t = t.n
 let memory t = t.memory
 let engine t : engine =
   match t.state with Compiled _ -> `Vm | Tree _ -> `Tree
-let enabled t = t.enabled
+let enabled t =
+  if t.enabled_stale then begin
+    t.enabled <- enabled_of_pending t.pending t.n;
+    t.enabled_stale <- false
+  end;
+  t.enabled
 let unsafe_pending t = t.pending
 let pending_op t pid = t.pending.(pid)
 
@@ -187,7 +228,7 @@ let stage t pid =
 
 let steps t = t.steps
 let total_steps t = t.total_steps
-let running t = Array.length t.enabled > 0
+let running t = Array.length (enabled t) > 0
 
 let output t pid =
   match t.state with
@@ -340,7 +381,7 @@ let step_forced t ~pid ~landed =
     match pending' with
     | Some _ -> ()
     | None ->
-      rebuild_enabled t;
+      enabled_changed t pid;
       (match t.sink with
        | None -> ()
        | Some s -> s.Sink.on_decide ~step:t.steps ~pid)
@@ -371,7 +412,7 @@ let crash t ~pid =
   t.crash_count <- t.crash_count + 1;
   t.ever_crashed <- true;
   t.pending.(pid) <- None;
-  rebuild_enabled t;
+  enabled_changed t pid;
   Option.iter
     (fun tr ->
       Trace.add tr { Trace.step = t.steps; pid; op = None; landed = false; observed = None })
@@ -405,7 +446,7 @@ let recover t ~pid =
     (match t.state with
      | Compiled vm -> Vm.pending vm pid
      | Tree { programs; _ } -> Program.pending programs.(pid));
-  rebuild_enabled t;
+  enabled_changed t pid;
   Option.iter
     (fun tr ->
       Trace.add tr { Trace.step = t.steps; pid; op = None; landed = true; observed = None })
@@ -470,7 +511,9 @@ let snapshot t =
     s_crash_count = t.crash_count;
     s_recover_count = t.recover_count;
     (* Shared, not copied: enabled arrays are rebuilt immutably on
-       every change (decide/crash), never updated in place. *)
+       every change (decide/crash), never updated in place.  Only the
+       tabulated path restores it; beyond it [restore] re-derives the
+       live set from the restored pending descriptors. *)
     s_enabled = t.enabled;
     s_memory;
     s_steps = t.steps }
@@ -529,5 +572,7 @@ let restore t s =
    | Compiled _, Tree_snap _ | Tree _, Vm_snap _ ->
      invalid_arg "Machine.restore: snapshot taken under a different engine");
   t.enabled <- s.s_enabled;
+  (match t.enabled_tab with Some _ -> () | None -> t.enabled_stale <- true);
+  if t.tracked then fill_live t;
   Memory.restore_backup t.memory s.s_memory;
   t.steps <- s.s_steps

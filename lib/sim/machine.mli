@@ -64,12 +64,21 @@ val engine : 'r t -> engine
 
 val enabled : 'r t -> int array
 (** Enabled pids, ascending.  The returned array is the machine's own
-    (rebuilt only when a process finishes); callers that mutate the
-    machine while iterating must copy it first. *)
+    (rebuilt only when a process finishes, crashes or recovers — for
+    [n > 10] lazily, on the first call after the change); callers that
+    mutate the machine while iterating must copy it first. *)
+
+val live : 'r t -> Liveset.t
+(** The enabled pids as a live {!Liveset.t}: O(1) count and membership,
+    O(log n) select and cyclic successor, updated in place whenever a
+    process finishes, crashes or recovers, and by {!restore}.
+    Read-only by contract; the scheduler's adversary views read it.
+    The set is maintained from the first call on, so machines that
+    never ask — the explorers' — pay nothing for it. *)
 
 val unsafe_pending : 'r t -> Op.any option array
 (** The live per-pid pending-operation descriptors (shared, not a
-    copy) — the adversary view's [pending] field. *)
+    copy) — what the adversary views read pending operations from. *)
 
 val pending_op : 'r t -> int -> Op.any option
 

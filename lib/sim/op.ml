@@ -46,6 +46,11 @@ let is_write any =
   | Write_op | Prob_write_op -> true
   | Read_op | Collect_op -> false
 
+let is_read any =
+  match kind any with
+  | Read_op | Collect_op -> true
+  | Write_op | Prob_write_op -> false
+
 let to_sexp (Any op) =
   let open Sexp in
   match op with

@@ -53,6 +53,9 @@ val prob : any -> prob option
 val is_write : any -> bool
 (** Whether the operation can modify memory. *)
 
+val is_read : any -> bool
+(** Whether the operation observes memory: a read or a collect. *)
+
 val to_sexp : any -> Sexp.t
 val of_sexp : Sexp.t -> (any, string) result
 (** Serialization for schedule artifacts: [of_sexp (to_sexp op)]

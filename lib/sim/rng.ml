@@ -1,38 +1,56 @@
-type t = { mutable s : int64 }
+(* The 64-bit counter is kept as two 32-bit halves in immediate int
+   fields rather than one mutable [int64] field: storing to such a
+   field boxes a fresh [int64] on every draw, while these stores are
+   plain words, so a draw allocates nothing. *)
+type t = { mutable hi : int; mutable lo : int }
+
+let[@inline] get t = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
+
+let[@inline] set t s =
+  t.hi <- Int64.to_int (Int64.shift_right_logical s 32);
+  t.lo <- Int64.to_int (Int64.logand s 0xFFFF_FFFFL)
+
+let of_state s =
+  let t = { hi = 0; lo = 0 } in
+  set t s;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* The "mix64variant13" finaliser from the SplitMix64 reference
    implementation: xor-shift multiply staircase that turns the weak
    counter sequence into high-quality output. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { s = mix64 (Int64.of_int seed) }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let copy t = { s = t.s }
+let copy t = { hi = t.hi; lo = t.lo }
 
-let bits64 t =
-  t.s <- Int64.add t.s golden_gamma;
-  mix64 t.s
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix64 s
 
-let split t = { s = bits64 t }
+let split t = of_state (bits64 t)
 
 let split_n t k = Array.init k (fun _ -> split t)
+
+let[@inline] bits62 t = Int64.to_int (Int64.logand (bits64 t) (Int64.of_int max_int))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on 62 bits (the width of a native OCaml int)
      keeps the draw exactly uniform for any bound. *)
-  let mask = Int64.of_int max_int in
-  let rec draw () =
-    let r = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then draw () else v
-  in
-  draw ()
+  let r = ref (bits62 t) in
+  let v = ref (!r mod bound) in
+  while !r - !v > max_int - bound + 1 do
+    r := bits62 t;
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -69,4 +87,4 @@ let exponential t lambda =
   if lambda <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
   -.log (1.0 -. float t) /. lambda
 
-let state t = t.s
+let state = get

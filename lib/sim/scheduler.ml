@@ -36,28 +36,33 @@ let run ?engine ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = fa
   in
   let completed = ref false in
   let ignored = ref 0 in
-  (* The per-step view is kept incrementally by the machine: only the
-     scheduled process's pending descriptor changes, and the enabled
-     array only shrinks when a process finishes.  This keeps a
-     scheduler step O(1) (plus whatever the adversary inspects). *)
+  (* The view is a window onto live state, built once: the machine
+     keeps the live set, and [track_reader] keeps the live readers, each
+     updated in place for the one process a transition touches.  A
+     scheduler step thus costs O(log n) plus whatever the adversary
+     inspects, with no copying. *)
+  let live = Machine.live machine in
+  let readers = Liveset.create n in
+  let track_reader pid =
+    match Machine.pending_op machine pid with
+    | Some op when Op.is_read op -> Liveset.add readers pid
+    | Some _ | None -> Liveset.remove readers pid
+  in
+  for pid = 0 to n - 1 do
+    track_reader pid
+  done;
+  let view =
+    View.make ~n ~step:(fun () -> Machine.steps machine) ~live ~readers
+      ~pending:(Machine.unsafe_pending machine) ~memory ~op_counts:(Metrics.counts metrics)
+  in
   let rec loop () =
-    let en = Machine.enabled machine in
-    if Array.length en = 0 then completed := true
+    if Liveset.count live = 0 then completed := true
     else if Machine.steps machine >= max_steps then ()
     else begin
-      let view =
-        { View.step = Machine.steps machine;
-          n;
-          enabled = en;
-          pending = Machine.unsafe_pending machine;
-          memory;
-          op_counts = Metrics.counts metrics }
-      in
       let choice = choose view in
       let pid =
-        if choice >= 0 && choice < n && Machine.pending_op machine choice <> None
-        then choice
-        else Adversary.next_enabled_from en n (((choice mod n) + n) mod n)
+        if choice >= 0 && choice < n && Liveset.mem live choice then choice
+        else Liveset.next_from live choice
       in
       (* The fault plan sees the adversary's (already validated) choice
          and may override it.  Invalid overrides — crashing a pid that
@@ -73,7 +78,8 @@ let run ?engine ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = fa
        | Some inject ->
          (match inject view ~chosen:pid with
           | Fault.Crash p when Machine.pending_op machine p <> None ->
-            Machine.crash machine ~pid:p
+            Machine.crash machine ~pid:p;
+            track_reader p
           | Fault.Stale p
             when p = pid
                  && (match Machine.pending_op machine p with
@@ -87,11 +93,13 @@ let run ?engine ?(max_steps = 10_000_000) ?(record = false) ?(cheap_collect = fa
             (* Recovery needs last-writer tracking for the volatile
                wipe; a plan recovering over untracked memory degrades
                like any other invalid override instead of raising. *)
-            Machine.recover machine ~pid:p
+            Machine.recover machine ~pid:p;
+            track_reader p
           | Fault.Step _ -> Machine.step_random machine ~pid ~coin:write_coins.(pid)
           | Fault.Crash _ | Fault.Stale _ | Fault.Recover _ ->
             incr ignored;
             Machine.step_random machine ~pid ~coin:write_coins.(pid)));
+      track_reader pid;
       loop ()
     end
   in

@@ -1,66 +1,60 @@
-type pending = {
-  p_pid : int;
-  p_op : Op.any;
-}
-
-type full = {
-  step : int;
+type window = {
   n : int;
-  enabled : int array;
+  step : unit -> int;
+  live : Liveset.t;
+  readers : Liveset.t;
   pending : Op.any option array;
   memory : Memory.t;
   op_counts : Metrics.counts;
 }
 
-type oblivious = {
-  ob_step : int;
-  ob_n : int;
-  ob_enabled : int array;
-}
+type 'c t = window
+type oblivious = [ `Live ] t
+type value_oblivious = [ `Live | `Counts | `Kind | `Loc | `Prob ] t
+type location_oblivious = [ `Live | `Counts | `Kind | `Value | `Prob | `Contents ] t
+type full = [ `Live | `Counts | `Kind | `Loc | `Value | `Prob | `Contents | `Full ] t
 
-type masked_op = {
-  m_kind : Op.kind;
-  m_loc : Memory.loc option;
-  m_value : int option;
-  m_prob : float option;
-}
+let make ~n ~step ~live ~readers ~pending ~memory ~op_counts =
+  { n; step; live; readers; pending; memory; op_counts }
 
-type value_oblivious = {
-  vo_step : int;
-  vo_n : int;
-  vo_enabled : int array;
-  vo_pending : masked_op option array;
-  vo_op_counts : int array;
-}
+external to_oblivious : full -> oblivious = "%identity"
+external to_value_oblivious : full -> value_oblivious = "%identity"
+external to_location_oblivious : full -> location_oblivious = "%identity"
 
-type location_oblivious = {
-  lo_step : int;
-  lo_n : int;
-  lo_enabled : int array;
-  lo_pending : masked_op option array;
-  lo_contents : int option array;
-  lo_op_counts : int array;
-}
+let step v = v.step ()
+let n v = v.n
+let live v = Liveset.count v.live
+let is_live v pid = Liveset.mem v.live pid
+let nth v k = Liveset.nth v.live k
+let next_from v start = Liveset.next_from v.live start
 
-let to_oblivious v = { ob_step = v.step; ob_n = v.n; ob_enabled = v.enabled }
+let op v pid =
+  match v.pending.(pid) with
+  | Some any -> any
+  | None -> invalid_arg "View: pid is not live"
+[@@inline]
 
-let mask ~hide_value ~hide_loc any =
-  { m_kind = Op.kind any;
-    m_loc = (if hide_loc then None else Some (Op.loc any));
-    m_value = (if hide_value then None else Op.value any);
-    m_prob = Op.prob any }
+let kind v pid = Op.kind (op v pid)
+let readers v = Liveset.count v.readers
+let nth_reader v k = Liveset.nth v.readers k
+let loc v pid = Op.loc (op v pid)
 
-let to_value_oblivious v =
-  { vo_step = v.step;
-    vo_n = v.n;
-    vo_enabled = v.enabled;
-    vo_pending = Array.map (Option.map (mask ~hide_value:true ~hide_loc:false)) v.pending;
-    vo_op_counts = Metrics.counts_to_array v.op_counts }
+let value v pid =
+  let (Op.Any o) = op v pid in
+  match o with
+  | Op.Write (_, x) -> x
+  | Op.Prob_write (_, x, _) -> x
+  | Op.Prob_write_detect (_, x, _) -> x
+  | Op.Read _ | Op.Collect _ -> invalid_arg "View.value: pending operation is not a write"
 
-let to_location_oblivious v =
-  { lo_step = v.step;
-    lo_n = v.n;
-    lo_enabled = v.enabled;
-    lo_pending = Array.map (Option.map (mask ~hide_value:false ~hide_loc:true)) v.pending;
-    lo_contents = Memory.snapshot v.memory;
-    lo_op_counts = Metrics.counts_to_array v.op_counts }
+let prob v pid =
+  let (Op.Any o) = op v pid in
+  match o with
+  | Op.Prob_write (_, _, p) | Op.Prob_write_detect (_, _, p) -> p
+  | Op.Read _ | Op.Write _ | Op.Collect _ -> 1.0
+
+let op_count v pid = Metrics.count v.op_counts pid
+let registers v = Memory.size v.memory
+let contents v l = Memory.read v.memory l
+let pending v pid = v.pending.(pid)
+let memory v = v.memory

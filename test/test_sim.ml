@@ -438,10 +438,20 @@ let test_priority_runs_highest_first () =
     let pids = List.map (fun e -> e.Trace.pid) (Trace.events t) in
     check Alcotest.(list int) "priority order" [ 1; 2; 0 ] pids
 
+let liveset n f =
+  let s = Liveset.create n in
+  Liveset.fill s f;
+  s
+
+(* The scheduler's fallback for a choice that is not enabled: the first
+   enabled pid at or cyclically after it. *)
 let test_next_enabled_from () =
-  checki "at-or-after" 2 (Adversary.next_enabled_from [| 0; 2 |] 3 1);
-  checki "exact" 2 (Adversary.next_enabled_from [| 0; 2 |] 3 2);
-  checki "cyclic wrap" 0 (Adversary.next_enabled_from [| 0 |] 3 2)
+  let live pids = liveset 3 (fun p -> List.mem p pids) in
+  checki "at-or-after" 2 (Liveset.next_from (live [ 0; 2 ]) 1);
+  checki "exact" 2 (Liveset.next_from (live [ 0; 2 ]) 2);
+  checki "cyclic wrap" 0 (Liveset.next_from (live [ 0 ]) 2);
+  checki "wraps past n" 2 (Liveset.next_from (live [ 2 ]) 4);
+  checki "negative start" 2 (Liveset.next_from (live [ 0; 2 ]) (-1))
 
 let test_write_stalker_prefers_readers () =
   (* p0 wants to write; p1 wants to read.  The stalker must run p1
@@ -585,42 +595,63 @@ let qcheck_priority_invariance =
 (* Views                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Three processes: p0 pends a probabilistic write of 7 to the one
+   register (which holds 9), p1 a read of it, p2 has halted. *)
 let make_full_view () =
   let memory = Memory.create () in
   let l = Memory.alloc memory in
   Memory.write memory l 9;
-  { View.step = 3;
-    n = 2;
-    enabled = [| 0; 1 |];
-    pending =
-      [| Some (Op.Any (Op.Prob_write (l, 7, 0.5))); Some (Op.Any (Op.Read l)) |];
-    memory;
-    op_counts = Metrics.counts_of_array [| 2; 1 |] }
+  let pending =
+    [| Some (Op.Any (Op.Prob_write (l, 7, 0.5))); Some (Op.Any (Op.Read l)); None |]
+  in
+  let reading p = match pending.(p) with Some op -> Op.is_read op | None -> false in
+  View.make ~n:3 ~step:(fun () -> 3)
+    ~live:(liveset 3 (fun p -> Option.is_some pending.(p)))
+    ~readers:(liveset 3 reading) ~pending ~memory
+    ~op_counts:(Metrics.counts_of_array [| 2; 1; 4 |])
+
+(* What each class may reveal is its type's capability row; these
+   coercions compile only while the rows are exactly these, and every
+   accessor demands the capability it reveals, so e.g. [View.value] on
+   a value-oblivious view is a type error (test/masking checks three
+   such errors). *)
+let _ : View.oblivious -> [ `Live ] View.t = Fun.id
+let _ : View.value_oblivious -> [ `Live | `Counts | `Kind | `Loc | `Prob ] View.t = Fun.id
+let _ :
+    View.location_oblivious -> [ `Live | `Counts | `Kind | `Value | `Prob | `Contents ] View.t =
+  Fun.id
 
 let test_view_oblivious_projection () =
   let v = View.to_oblivious (make_full_view ()) in
-  checki "step" 3 v.View.ob_step;
-  checki "n" 2 v.View.ob_n;
-  check Alcotest.(array int) "enabled" [| 0; 1 |] v.View.ob_enabled
+  checki "step" 3 (View.step v);
+  checki "n" 3 (View.n v);
+  checki "live" 2 (View.live v);
+  check Alcotest.(list int) "enabled" [ 0; 1 ] (List.init (View.live v) (View.nth v));
+  checkb "halted is not live" false (View.is_live v 2);
+  checki "next_from skips the halted" 0 (View.next_from v 2)
 
 let test_view_value_oblivious_masks_values () =
   let v = View.to_value_oblivious (make_full_view ()) in
-  (match v.View.vo_pending.(0) with
-   | Some m ->
-     check Alcotest.(option int) "value hidden" None m.View.m_value;
-     check Alcotest.(option int) "loc visible" (Some 0) m.View.m_loc;
-     checkb "kind visible" true (m.View.m_kind = Op.Prob_write_op)
-   | None -> Alcotest.fail "pending missing")
+  (* value hidden: [`Value] is not in the row (see the coercions above) *)
+  checki "loc visible" 0 (View.loc v 0);
+  checkb "kind visible" true (View.kind v 0 = Op.Prob_write_op);
+  check (Alcotest.float 1e-9) "prob visible" 0.5 (View.prob v 0);
+  check (Alcotest.float 1e-9) "a read takes effect surely" 1.0 (View.prob v 1);
+  checki "one reader" 1 (View.readers v);
+  checki "the reader" 1 (View.nth_reader v 0);
+  checki "op counts visible" 4 (View.op_count v 2)
 
 let test_view_location_oblivious_masks_locs () =
   let v = View.to_location_oblivious (make_full_view ()) in
-  (match v.View.lo_pending.(0) with
-   | Some m ->
-     check Alcotest.(option int) "loc hidden" None m.View.m_loc;
-     check Alcotest.(option int) "value visible" (Some 7) m.View.m_value;
-     check Alcotest.(option (float 1e-9)) "prob visible" (Some 0.5) m.View.m_prob
-   | None -> Alcotest.fail "pending missing");
-  check Alcotest.(array (option int)) "contents visible" [| Some 9 |] v.View.lo_contents
+  (* loc hidden: [`Loc] is not in the row (see the coercions above) *)
+  checki "value visible" 7 (View.value v 0);
+  check (Alcotest.float 1e-9) "prob visible" 0.5 (View.prob v 0);
+  checkb "kind visible" true (View.kind v 1 = Op.Read_op);
+  checki "one register" 1 (View.registers v);
+  check Alcotest.(option int) "contents visible" (Some 9) (View.contents v 0);
+  Alcotest.check_raises "a read carries no value"
+    (Invalid_argument "View.value: pending operation is not a write") (fun () ->
+      ignore (View.value v 1))
 
 (* ------------------------------------------------------------------ *)
 (* Spec checkers                                                       *)
